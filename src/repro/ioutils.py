@@ -14,12 +14,15 @@ from pathlib import Path
 
 
 def atomic_write_bytes(path: str | os.PathLike, blob: bytes) -> Path:
-    """Write ``blob`` to ``path`` via a same-directory temp file + rename.
+    """Durably write ``blob`` to ``path`` via a same-directory temp file + rename.
 
     A reader racing the writer sees either the old file or the new one,
     never a torn mix, and a crash mid-write leaves the target untouched
     (the orphaned temp file is unlinked on every failure path that still
-    runs).  Concurrent writers degrade to last-writer-wins.
+    runs).  Concurrent writers degrade to last-writer-wins.  The temp
+    file is fsynced before the rename and the directory after it, so
+    once this returns the new bytes survive power loss, not only a
+    killed process.
     """
     path = Path(path)
     fd, temp_name = tempfile.mkstemp(
@@ -28,6 +31,8 @@ def atomic_write_bytes(path: str | os.PathLike, blob: bytes) -> Path:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(blob)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temp_name, path)
     except BaseException:
         try:
@@ -35,4 +40,14 @@ def atomic_write_bytes(path: str | os.PathLike, blob: bytes) -> Path:
         except OSError:
             pass
         raise
+    _fsync_directory(path.parent)
     return path
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Persist a directory's entries (a rename lives in its directory)."""
+    fd = os.open(directory, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

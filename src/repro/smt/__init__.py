@@ -4,7 +4,8 @@ Exact linear arithmetic over the rationals:
 
 - :mod:`repro.smt.linexpr` — linear expressions and constraints;
 - :mod:`repro.smt.simplex` — incremental Dutertre–de Moura general
-  simplex with exact ``Fraction`` pivoting and conflict extraction;
+  simplex with a fraction-free tableau (integer rows, one denominator
+  each), exact ``Fraction`` assignments and conflict extraction;
 - :mod:`repro.smt.branch_bound` — integer feasibility via branch & bound;
 - :mod:`repro.smt.dpllt` — lazy DPLL(T): the CDCL core from
   :mod:`repro.sat` combined with the simplex as theory solver.

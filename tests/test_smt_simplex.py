@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.smt import (
     Simplex,
     solve_integer_feasibility,
 )
+from simplex_oracle import Simplex as FractionSimplex
 
 
 class TestLinExpr:
@@ -261,3 +263,95 @@ class TestAgainstScipy:
                 assert value <= bound
             for var, lo, hi in zip(variables, lower, upper):
                 assert lo <= assignment[var] <= hi
+
+
+def assert_tableau_invariants(s: Simplex) -> None:
+    """The integer tableau is in lowest terms and agrees with β."""
+    assert set(s._den) == set(s._rows)
+    for basic, row in s._rows.items():
+        den = s._den[basic]
+        assert den > 0
+        assert math.gcd(den, *row.values()) == 1
+        for var, num in row.items():
+            assert num != 0
+            assert var not in s._rows
+            assert basic in s._cols[var]
+        total = sum((num * s.value(var) for var, num in row.items()), Fraction(0))
+        assert s.value(basic) == total / den
+
+
+SMALL = st.integers(-4, 4).map(Fraction)
+COEFF = st.one_of(SMALL, st.fractions(-4, 4, max_denominator=2**60))
+BOUND = st.one_of(
+    st.integers(-6, 6).map(Fraction), st.fractions(-6, 6, max_denominator=2**60)
+)
+OPS = ("new_var", "define", "lower", "upper", "push", "pop", "check")
+
+
+def run_both(data, steps: int) -> None:
+    """Drive the integer simplex and the Fraction oracle in lockstep."""
+    fast, oracle = Simplex(), FractionSimplex()
+    for _ in range(2):
+        assert fast.new_var() == oracle.new_var()
+    for _ in range(steps):
+        op = data.draw(st.sampled_from(OPS))
+        num_vars = fast.num_vars
+        if op == "new_var":
+            assert fast.new_var() == oracle.new_var()
+        elif op == "define":
+            # Any variable may appear, basic ones included (chained rows).
+            chosen = data.draw(
+                st.lists(st.integers(0, num_vars - 1), min_size=1, max_size=4, unique=True)
+            )
+            combination = {v: data.draw(COEFF) for v in chosen}
+            if fast._trail_lim:
+                with pytest.raises(SmtError):
+                    fast.define(combination)
+                with pytest.raises(SmtError):
+                    oracle.define(combination)
+            else:
+                assert fast.define(combination) == oracle.define(combination)
+        elif op in ("lower", "upper"):
+            var = data.draw(st.integers(0, num_vars - 1))
+            bound = data.draw(BOUND)
+            name = "assert_lower" if op == "lower" else "assert_upper"
+            assert getattr(fast, name)(var, bound) == getattr(oracle, name)(var, bound)
+        elif op == "push":
+            fast.push()
+            oracle.push()
+        elif op == "pop":
+            if fast._trail_lim:
+                fast.pop()
+                oracle.pop()
+        else:
+            assert fast.check() == oracle.check()
+            assert fast.total_pivots == oracle.total_pivots
+        assert fast.num_vars == oracle.num_vars
+        assert [fast.value(v) for v in range(fast.num_vars)] == [
+            oracle.value(v) for v in range(oracle.num_vars)
+        ]
+        assert_tableau_invariants(fast)
+    assert fast.check() == oracle.check()
+    assert fast.total_pivots == oracle.total_pivots
+
+
+class TestAgainstFractionTableau:
+    """The integer tableau pivots exactly like the Fraction one it replaced."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_oracle(self, data):
+        run_both(data, data.draw(st.integers(1, 40)))
+
+    def test_chained_define_over_pivoted_basic(self):
+        # A row defined after pivots sees its referenced basic expanded
+        # through a non-unit denominator.
+        s = Simplex()
+        x, y = s.new_var(), s.new_var()
+        u = s.define({x: Fraction(1, 3), y: Fraction(2, 7)})
+        s.assert_lower(u, 1)
+        assert s.check().feasible
+        assert s._den.get(x, 1) > 1  # the pivot made x basic over 7
+        w = s.define({u: Fraction(5, 2), x: 1})
+        assert_tableau_invariants(s)
+        assert s.value(w) == Fraction(5, 2) * s.value(u) + s.value(x)
