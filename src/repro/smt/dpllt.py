@@ -123,10 +123,12 @@ class DpllTSolver:
             raise SmtError(f"atom references undeclared theory variable {name!r}")
         return self._var_ids[name]
 
-    def _assert_constraint(self, constraint: Constraint, origin: int, bound_origin: dict):
-        """Push ``constraint`` into the simplex, recording the atom literal
-        responsible for each *active* bound.  Returns a conflict or None."""
-        slack = self._slack_for(constraint)
+    def _assert_constraint(
+        self, constraint: Constraint, slack: int, origin: int, bound_origin: dict
+    ):
+        """Push ``constraint`` (whose linear part is the simplex variable
+        ``slack``) into the simplex, recording the atom literal responsible
+        for each *active* bound.  Returns a conflict or None."""
         threshold = -constraint.expr.constant
 
         def attempt(kind: BoundKind):
@@ -161,12 +163,16 @@ class DpllTSolver:
     def solve(self) -> tuple[TheoryResult, DpllTModel | None]:
         """Run the lazy loop to a verdict."""
         # All slack rows must exist before any push (simplex restriction),
-        # so pre-create them for every registered atom.
-        for atom in self._atoms.values():
-            self._slack_for(atom.pos)
+        # so resolve each atom's (constraint, slack) pair per polarity here,
+        # once, for the lazy loop below to assert.
+        polarities = []
+        for boolean, atom in self._atoms.items():
             negation = atom.neg if atom.neg is not None else self._derived_neg(atom)
-            if negation is not None:
-                self._slack_for(negation)
+            polarities.append((
+                boolean,
+                (atom.pos, self._slack_for(atom.pos)),
+                None if negation is None else (negation, self._slack_for(negation)),
+            ))
 
         conflict_floor = self.sat.conflicts
         while True:
@@ -187,15 +193,11 @@ class DpllTSolver:
             self.simplex.push()
             bound_origin: dict[BoundRef, int] = {}
             conflict = None
-            for boolean, atom in self._atoms.items():
-                assigned_true = sat_result.model.get(boolean, False)
-                if assigned_true:
-                    conflict = self._assert_constraint(atom.pos, boolean, bound_origin)
-                else:
-                    negation = atom.neg if atom.neg is not None else self._derived_neg(atom)
-                    if negation is None:
-                        continue
-                    conflict = self._assert_constraint(negation, -boolean, bound_origin)
+            for boolean, positive, negative in polarities:
+                if sat_result.model.get(boolean, False):
+                    conflict = self._assert_constraint(*positive, boolean, bound_origin)
+                elif negative is not None:
+                    conflict = self._assert_constraint(*negative, -boolean, bound_origin)
                 if conflict is not None:
                     break
 

@@ -15,9 +15,6 @@ Engines, ordered by the guarantees they offer:
   counterexamples quickly, never prove robustness.
 - :class:`SmtVerifier` — complete: ReLU phase splitting over the exact
   rational simplex with integer branch & bound (Reluplex-style).
-- :class:`MilpVerifier` — complete in practice: big-M MILP with scipy
-  (HiGHS) LP relaxations, float-tolerant pruning, and exact recheck of
-  every candidate model.
 - :class:`PortfolioVerifier` — interval ⇒ falsifiers ⇒ complete engine,
   with the incomplete-stage order chosen per workload from an
   :class:`EngineStats` decide-rate/wall-time table; the default used by
@@ -44,7 +41,6 @@ from .exhaustive import ExhaustiveEnumerator
 from .falsify import CornerFalsifier, RandomFalsifier
 from .smt_verifier import SmtVerifier
 from .incremental import LadderSession
-from .milp_verifier import MilpVerifier
 from .stats import EngineStats, StageStat
 from .portfolio import PortfolioVerifier
 from .batch import (
@@ -68,7 +64,6 @@ __all__ = [
     "CornerFalsifier",
     "SmtVerifier",
     "LadderSession",
-    "MilpVerifier",
     "EngineStats",
     "StageStat",
     "PortfolioVerifier",

@@ -43,7 +43,7 @@ _CANDIDATE_ORDERS: tuple[tuple[str, ...], ...] = (
 #: Names counted as complete-engine invocations.  ``session`` is the
 #: incremental ladder session (:mod:`repro.verify.incremental`) — the
 #: warm counterpart of the from-scratch ``smt`` stage.
-COMPLETE_STAGES: tuple[str, ...] = ("exhaustive", "smt", "session", "milp")
+COMPLETE_STAGES: tuple[str, ...] = ("exhaustive", "smt", "session")
 
 #: Attempts a stage needs before its observed rates steer the schedule.
 _MIN_SAMPLES = 16

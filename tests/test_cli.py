@@ -2,9 +2,33 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_cli_import_loads_no_scipy():
+    """`import repro.cli` — paid by every invocation — pulls in no scipy
+    module; scipy is a test-only dependency."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestCli:
